@@ -201,8 +201,8 @@ class CredentialRecordTable:
         self._magic: list[int] = []
         self._watches: dict[int, list[ChangeCallback]] = {}
         self._global_watch: list[ChangeCallback] = []
-        # (external_service -> set of local indices of its surrogates)
-        self._externals_by_service: dict[str, set[int]] = {}
+        # external_service -> {remote_ref: local index of its surrogate}
+        self._externals_by_service: dict[str, dict[int, int]] = {}
         self.records_created = 0
         self.records_deleted = 0
         self.propagations = 0          # number of cascades run
@@ -288,15 +288,14 @@ class CredentialRecordTable:
         about the remote fact yet, and sections 4.9/4.10 require failing
         closed, never open.
         """
-        for index in self._externals_by_service.get(service, ()):
-            row = self._rows[index]
-            if row is not None and row.external_ref == remote_ref:
-                return row
+        record = self.external(service, remote_ref)
+        if record is not None:
+            return record
         record = self._alloc(RecordOp.SOURCE)
         record.external_service = service
         record.external_ref = remote_ref
         record.state = RecordState.UNKNOWN
-        self._externals_by_service.setdefault(service, set()).add(record.index)
+        self._externals_by_service.setdefault(service, {})[remote_ref] = record.index
         return record
 
     def _alloc(self, op: RecordOp) -> CredentialRecord:
@@ -330,6 +329,11 @@ class CredentialRecordTable:
         (a deleted record always represented a permanently-false fact)."""
         record = self.get(ref)
         return record.state if record is not None else RecordState.FALSE
+
+    def external(self, service: str, remote_ref: int) -> Optional[CredentialRecord]:
+        """The live surrogate for ``service``'s record ``remote_ref``, if any."""
+        index = self._externals_by_service.get(service, {}).get(remote_ref)
+        return None if index is None else self._rows[index]
 
     def live_count(self) -> int:
         return sum(1 for row in self._rows if row is not None)
@@ -448,12 +452,16 @@ class CredentialRecordTable:
             latest[remote_ref] = state
         if not latest:
             return CascadeStats()
-        batch = [
-            (row.ref, latest[row.external_ref])
-            for index in self._externals_by_service.get(service, ())
-            if (row := self._rows[index]) is not None and row.external_ref in latest
-        ]
-        return self.set_states(batch)
+        surrogates = self._externals_by_service.get(service, {})
+        # ascending local index: one cascade and WAL order however the
+        # batch was packed (indices are unique, so states never compare)
+        batch = sorted(
+            (index, state)
+            for remote_ref, state in latest.items()
+            if (index := surrogates.get(remote_ref)) is not None
+        )
+        rows = self._rows
+        return self.set_states([(rows[index].ref, state) for index, state in batch])
 
     def mark_service_unknown(self, service: str) -> int:
         """Heartbeat from ``service`` missed: all its surrogates -> UNKNOWN.
@@ -461,21 +469,21 @@ class CredentialRecordTable:
         One cascade regardless of how many surrogates the silent service
         backs; returns how many were marked (cascade metrics are on
         :attr:`last_cascade`)."""
-        updates = []
-        for index in list(self._externals_by_service.get(service, ())):
-            row = self._rows[index]
-            if row is not None and row.state is not RecordState.UNKNOWN and not row.permanent:
-                updates.append((row.ref, RecordState.UNKNOWN))
+        updates = [
+            (row.ref, RecordState.UNKNOWN)
+            for row in self.externals_of(service)
+            if row.state is not RecordState.UNKNOWN and not row.permanent
+        ]
         self.set_states(updates)
         return len(updates)
 
     def externals_of(self, service: str) -> list[CredentialRecord]:
-        out = []
-        for index in self._externals_by_service.get(service, ()):
-            row = self._rows[index]
-            if row is not None:
-                out.append(row)
-        return out
+        """Every live surrogate backed by ``service``, in index order."""
+        rows = self._rows
+        return [
+            rows[index]
+            for index in sorted(self._externals_by_service.get(service, {}).values())
+        ]
 
     def external_services(self) -> list[str]:
         """Issuers this table holds live surrogate records for.
@@ -483,11 +491,7 @@ class CredentialRecordTable:
         The recovery machinery iterates this to re-read remote truth
         after a crash (ours or theirs); sorted for determinism.
         """
-        return sorted(
-            service
-            for service, indices in self._externals_by_service.items()
-            if any(self._rows[index] is not None for index in indices)
-        )
+        return sorted(self._externals_by_service)
 
     # -- watches / subscriptions -------------------------------------------------
 
@@ -686,7 +690,12 @@ class CredentialRecordTable:
         if row is None:
             return
         if row.external_service is not None:
-            self._externals_by_service.get(row.external_service, set()).discard(index)
+            # drop the index entry only if it still names this row
+            surrogates = self._externals_by_service[row.external_service]
+            if surrogates.get(row.external_ref) == index:
+                del surrogates[row.external_ref]
+                if not surrogates:
+                    del self._externals_by_service[row.external_service]
         self._rows[index] = None
         self._free.append(index)
         self._watches.pop(index, None)

@@ -120,17 +120,20 @@ class JournalStats:
 class ServiceJournal:
     """The append-only durable log of one service.
 
-    Holds the records, the outbox, and the receiver-side ledgers that
-    replay rebuilds: ``applied_counts`` (exactly-once dedup per
-    ``(issuer, outbox seq)``), ``applied_stamps`` (newest stamp applied
-    per ``(issuer, ref)``) and ``last_stamp`` (issuer-side newest stamp
-    per local ref, served to tail-sync pulls).
+    Holds the records, the outbox with its ``undelivered`` index (every
+    entry not yet DELIVERED, in seq order, so the relay's drain and DLQ
+    scans cost O(open entries) rather than O(history)), and the
+    receiver-side ledgers that replay rebuilds: ``applied_counts``
+    (exactly-once dedup per ``(issuer, outbox seq)``), ``applied_stamps``
+    (newest stamp applied per ``(issuer, ref)``) and ``last_stamp``
+    (issuer-side newest stamp per local ref, served to tail-sync pulls).
     """
 
     def __init__(self, service_id: str):
         self.service_id = service_id
         self.records: list[JournalRecord] = []
         self.outbox: dict[int, OutboxEntry] = {}
+        self.undelivered: dict[int, OutboxEntry] = {}
         self.stats = JournalStats()
         # While replaying, mutations re-driven through the table must not
         # journal themselves again: append() is a no-op under this flag.
@@ -196,6 +199,7 @@ class ServiceJournal:
         )
         for entry in entries:
             self.outbox[entry.seq] = entry
+            self.undelivered[entry.seq] = entry
             if entry.stamp > self.last_stamp.get(ref, (0, 0)):
                 self.last_stamp[ref] = entry.stamp
         self.stats.outbox_appended += len(entries)
@@ -265,13 +269,20 @@ class ServiceJournal:
 
     # ------------------------------------------------------------- the DLQ
 
+    def mark_delivered(self, entry: OutboxEntry) -> None:
+        """Settle ``entry`` for good: DELIVERED is terminal, so it
+        leaves the undelivered index and no drain looks at it again."""
+        entry.status = DELIVERED
+        del self.undelivered[entry.seq]
+        self.stats.outbox_delivered += 1
+
     def dead_letters(self) -> list[OutboxEntry]:
         """The dead-letter queue: parked entries awaiting redelivery."""
-        return [e for e in self.outbox.values() if e.status == DEAD]
+        return [e for e in self.undelivered.values() if e.status == DEAD]
 
     def unsettled(self) -> list[OutboxEntry]:
         """Entries not yet delivered (pending, in flight, or parked)."""
-        return [e for e in self.outbox.values() if e.status != DELIVERED]
+        return list(self.undelivered.values())
 
 
 class DurableStore:
@@ -305,8 +316,19 @@ class DurableStore:
         """
         breaches: list[str] = []
         for name, journal in sorted(self._journals.items()):
+            undelivered = journal.undelivered
+            for seq, entry in undelivered.items():
+                if journal.outbox.get(seq) is not entry:
+                    breaches.append(f"{name}#outbox{seq}: open but not in outbox")
+            if list(undelivered) != sorted(undelivered):
+                breaches.append(f"{name}: undelivered index out of seq order")
             for entry in journal.outbox.values():
                 label = f"{name}#outbox{entry.seq} -> {entry.dest}"
+                if (entry.seq in undelivered) == (entry.status == DELIVERED):
+                    breaches.append(
+                        f"{label}: undelivered index disagrees with "
+                        f"status {entry.status!r}"
+                    )
                 if entry.status == DELIVERED:
                     dest = self._journals.get(entry.dest)
                     if dest is None:
@@ -429,7 +451,7 @@ class JournalRelay:
         if not self._up():
             return
         batches: dict[str, list[OutboxEntry]] = {}
-        for entry in self.journal.outbox.values():
+        for entry in self.journal.undelivered.values():
             if entry.status == PENDING:
                 batches.setdefault(entry.dest, []).append(entry)
         if not batches:
@@ -466,8 +488,7 @@ class JournalRelay:
             if entry.status != INFLIGHT:
                 continue
             if entry.seq in acked:
-                entry.status = DELIVERED
-                self.journal.stats.outbox_delivered += 1
+                self.journal.mark_delivered(entry)
                 if from_dlq:
                     self.journal.stats.outbox_redelivered += 1
             else:
@@ -505,7 +526,7 @@ class JournalRelay:
             return
         now = self.sim.now
         batches: dict[str, list[OutboxEntry]] = {}
-        for entry in self.journal.outbox.values():
+        for entry in self.journal.undelivered.values():
             if entry.status == DEAD and entry.next_attempt_at <= now + 1e-9:
                 batches.setdefault(entry.dest, []).append(entry)
         for dest, entries in sorted(batches.items()):
@@ -520,7 +541,7 @@ class JournalRelay:
         block a settle: they are accounted work awaiting backoff)."""
         return not any(
             entry.status in (PENDING, INFLIGHT)
-            for entry in self.journal.outbox.values()
+            for entry in self.journal.undelivered.values()
         )
 
     # -------------------------------------------------------------- receiving
@@ -633,7 +654,7 @@ class JournalRelay:
         self._drain_timer.disarm()
         self._redeliver_timer.disarm()
         self._crash_points.clear()
-        for entry in self.journal.outbox.values():
+        for entry in self.journal.undelivered.values():
             if entry.status == INFLIGHT:
                 entry.status = PENDING
 

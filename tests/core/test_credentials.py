@@ -263,6 +263,68 @@ class TestExternals:
         assert table.state_of(ext.ref) is T
 
 
+class TestSurrogateIndex:
+    """The (issuer, remote ref) -> surrogate index under sweep and slot
+    reuse: a lookup resolves only the live surrogate of that exact key."""
+
+    @staticmethod
+    def _sweep_surrogate(table, record):
+        table.revoke(record.ref)
+        table.sweep()
+        assert table.get(record.ref) is None
+
+    def test_recreate_after_sweep_is_fresh_and_unknown(self):
+        table = CredentialRecordTable()
+        old = table.create_external("Login", 7)
+        table.update_external("Login", 7, T)
+        self._sweep_surrogate(table, old)
+        assert table.external("Login", 7) is None
+        fresh = table.create_external("Login", 7)
+        assert fresh.ref != old.ref
+        assert fresh.state is U
+        assert table.external("Login", 7) is fresh
+        table.update_external("Login", 7, T)
+        assert table.state_of(fresh.ref) is T
+        assert table.state_of(old.ref) is F
+
+    @pytest.mark.parametrize("new_ref", [7, 9])
+    def test_reused_slot_never_resolves_under_the_old_key(self, new_ref):
+        table = CredentialRecordTable()
+        old = table.create_external("Login", 7)
+        self._sweep_surrogate(table, old)
+        other = table.create_external("Other", new_ref)
+        assert other.index == old.index  # the freed slot was reused
+        assert table.external("Login", 7) is None
+        assert table.externals_of("Login") == []
+        table.update_external("Login", 7, T)
+        assert other.state is U
+        assert table.mark_service_unknown("Login") == 0
+        again = table.create_external("Login", 7)
+        assert again is not other
+        assert table.external("Other", new_ref) is other
+        assert table.externals_of("Other") == [other]
+
+    def test_external_services_drops_issuer_with_its_last_surrogate(self):
+        table = CredentialRecordTable()
+        first = table.create_external("Login", 1)
+        second = table.create_external("Login", 2)
+        table.create_external("Other", 1)
+        assert table.external_services() == ["Login", "Other"]
+        self._sweep_surrogate(table, first)
+        assert table.external_services() == ["Login", "Other"]
+        self._sweep_surrogate(table, second)
+        assert table.external_services() == ["Other"]
+        assert table.externals_of("Login") == []
+
+    def test_batch_applies_in_local_index_order(self):
+        table = CredentialRecordTable()
+        surrogates = [table.create_external("Login", ref) for ref in (30, 10, 20)]
+        seen = []
+        table.wal = lambda kind, data: seen.append(data["updates"])
+        table.update_external_many("Login", [(20, T), (10, T), (99, T), (30, T)])
+        assert seen == [[[record.ref, T.value] for record in surrogates]]
+
+
 class TestGarbageCollection:
     def test_revoked_leaf_collected(self):
         table = CredentialRecordTable()

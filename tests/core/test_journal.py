@@ -218,6 +218,35 @@ def test_undeliverable_notifications_park_in_dlq_and_redeliver():
     assert linkage.durable.conservation_breaches() == []
 
 
+def test_conservation_sweep_checks_the_undelivered_index():
+    sim, net, linkage, login, files = make_world()
+    (cert, reader), = populate(login, files, 1)
+    sim.run_until(2.0)
+    linkage.crash(files)
+    login.exit_role(cert)
+    sim.run_until(20.0)
+    store = linkage.durable
+    journal = store.journal("Login")
+    parked = journal.dead_letters()
+    assert parked and journal.unsettled() == parked
+    delivered = next(e for e in journal.outbox.values() if e.status == DELIVERED)
+    assert store.conservation_breaches() == []
+
+    # an open entry missing from the index would never drain
+    del journal.undelivered[parked[0].seq]
+    assert any("disagrees" in b for b in store.conservation_breaches())
+    journal.undelivered[parked[0].seq] = parked[0]
+    assert store.conservation_breaches() == []
+
+    # a delivered entry left in the index would be redelivered
+    journal.undelivered[delivered.seq] = delivered
+    breaches = store.conservation_breaches()
+    assert any("disagrees" in b for b in breaches)
+    assert any("out of seq order" in b for b in breaches)
+    del journal.undelivered[delivered.seq]
+    assert store.conservation_breaches() == []
+
+
 def test_subscriber_recovers_by_tail_sync_not_resubscribe_storm():
     sim, net, linkage, login, files = make_world()
     pairs = populate(login, files, 20)
