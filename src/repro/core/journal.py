@@ -46,9 +46,10 @@ outbox entries and due dead letters then drain.
 
 from __future__ import annotations
 
+import pickle
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.core.credentials import RecordState
 from repro.errors import OasisError
@@ -70,8 +71,9 @@ DEAD = "dead"
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One appended event: ``seq`` is the journal position (the WAL
-    head), ``epoch`` the boot epoch that wrote it."""
+    """The decoded view of one appended event: ``seq`` is the journal
+    position (the WAL head), ``epoch`` the boot epoch that wrote it.
+    Each read decodes a fresh copy, so a view never aliases the log."""
 
     seq: int
     epoch: int
@@ -120,18 +122,30 @@ class JournalStats:
 class ServiceJournal:
     """The append-only durable log of one service.
 
-    Holds the records, the outbox with its ``undelivered`` index (every
-    entry not yet DELIVERED, in seq order, so the relay's drain and DLQ
-    scans cost O(open entries) rather than O(history)), and the
-    receiver-side ledgers that replay rebuilds: ``applied_counts``
-    (exactly-once dedup per ``(issuer, outbox seq)``), ``applied_stamps``
-    (newest stamp applied per ``(issuer, ref)``) and ``last_stamp``
-    (issuer-side newest stamp per local ref, served to tail-sync pulls).
+    Each record is sealed at append time as one pickled ``bytes`` blob
+    of ``(seq, epoch, time, kind, data)`` and decoded only by
+    :meth:`read`.  The blob is a deep snapshot — a caller mutating its
+    payload afterwards cannot rewrite history — and, holding no object
+    references, it is never traversed by the cyclic garbage collector,
+    so carrying history costs no per-request collector time.  The blobs
+    never leave this in-sim disk (tail-sync ships live table state), so
+    ``pickle.loads`` only ever reads bytes this process wrote.
+
+    Beside the records the journal holds ``kind_counts`` (appends per
+    kind, so an audit length needs no scan), the outbox with its
+    ``undelivered`` index (every entry not yet DELIVERED, in seq order,
+    so the relay's drain and DLQ scans cost O(open entries) rather than
+    O(history)), and the receiver-side ledgers that replay rebuilds:
+    ``applied_counts`` (exactly-once dedup per ``(issuer, outbox seq)``),
+    ``applied_stamps`` (newest stamp applied per ``(issuer, ref)``) and
+    ``last_stamp`` (issuer-side newest stamp per local ref, served to
+    tail-sync pulls).
     """
 
     def __init__(self, service_id: str):
         self.service_id = service_id
-        self.records: list[JournalRecord] = []
+        self._blobs: list[bytes] = []
+        self.kind_counts: dict[str, int] = {}
         self.outbox: dict[int, OutboxEntry] = {}
         self.undelivered: dict[int, OutboxEntry] = {}
         self.stats = JournalStats()
@@ -147,25 +161,31 @@ class ServiceJournal:
         self.applied_stamps: dict[tuple[str, int], tuple] = {}
         self.last_stamp: dict[int, tuple] = {}
         # fires after a transaction is durably appended (fault point)
-        self.on_append: Optional[Callable[[JournalRecord], None]] = None
+        self.on_append: Optional[Callable[[], None]] = None
 
     def head(self) -> int:
         """The journal position: seq of the newest record."""
         return self._seq
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._blobs)
+
+    def read(self) -> Iterator[JournalRecord]:
+        """Decode the records in seq order, one fresh view at a time."""
+        loads = pickle.loads
+        for blob in self._blobs:
+            yield JournalRecord(*loads(blob))
 
     # ------------------------------------------------------------- appending
 
-    def append(self, kind: str, data: dict) -> Optional[JournalRecord]:
-        """Append one event; returns the record, or None during replay
-        (replayed mutations are already in the log)."""
+    def append(self, kind: str, data: dict) -> Optional[int]:
+        """Append one event; returns the new head seq, or None during
+        replay (replayed mutations are already in the log)."""
         if self.replaying:
             return None
-        record = self._append(kind, data)
-        self._fire_append(record)
-        return record
+        self._append(kind, data)
+        self._fire_append()
+        return self._seq
 
     def append_notify(
         self, ref: int, state_value: str, dests: list[str]
@@ -189,7 +209,7 @@ class ServiceJournal:
                     stamp=(self.epoch(), self._outbox_seq),
                 )
             )
-        record = self._append(
+        self._append(
             "notify",
             {
                 "ref": ref,
@@ -204,20 +224,24 @@ class ServiceJournal:
                 self.last_stamp[ref] = entry.stamp
         self.stats.outbox_appended += len(entries)
         # the fault point fires only once the whole transaction is durable
-        self._fire_append(record)
+        self._fire_append()
         return entries
 
-    def _append(self, kind: str, data: dict) -> JournalRecord:
+    def _append(self, kind: str, data: dict) -> None:
         self._seq += 1
-        record = JournalRecord(self._seq, self.epoch(), self.now(), kind, dict(data))
-        self.records.append(record)
+        self._blobs.append(
+            pickle.dumps(
+                (self._seq, self.epoch(), self.now(), kind, data),
+                pickle.HIGHEST_PROTOCOL,
+            )
+        )
+        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
         self.stats.appends += 1
-        return record
 
-    def _fire_append(self, record: JournalRecord) -> None:
+    def _fire_append(self) -> None:
         hook = self.on_append
         if hook is not None:
-            hook(record)
+            hook()
 
     # --------------------------------------------------------------- replay
 
@@ -237,7 +261,7 @@ class ServiceJournal:
                 if entry.stamp > self.last_stamp.get(entry.ref, (0, 0)):
                     self.last_stamp[entry.ref] = entry.stamp
             count = 0
-            for record in self.records:
+            for record in self.read():
                 self._absorb(record)
                 apply(record)
                 count += 1
@@ -425,7 +449,7 @@ class JournalRelay:
         if trigger is not None:
             trigger()
 
-    def _on_journal_append(self, record: JournalRecord) -> None:
+    def _on_journal_append(self) -> None:
         self._fire_crash("mid-append")
 
     def _up(self) -> bool:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -54,12 +55,22 @@ class RollingSecretTable:
         seed: Optional[bytes] = None,
     ):
         self.clock = clock or ManualClock()
-        self.lifetime = lifetime
+        self._lifetime = lifetime
         self.roll_period = roll_period
         self._secrets: dict[int, _Secret] = {}
         self._next_index = 0
         self._seed = seed
+        # created_at of the oldest non-current secret (inf when there is
+        # none): nothing can expire while it has not, so _expire skips
+        # the scan until then.  Kept as a creation time, not a deadline,
+        # so the skip test is the very float comparison the scan makes.
+        self._oldest_created = math.inf
         self.roll()
+
+    @property
+    def lifetime(self) -> float:
+        """Read-only: the cached expiry horizon depends on it."""
+        return self._lifetime
 
     @property
     def current_index(self) -> int:
@@ -74,6 +85,7 @@ class RollingSecretTable:
         else:
             value = os.urandom(32)
         self._secrets[index] = _Secret(index, value, self.clock.now())
+        self._oldest_created = -math.inf  # the old current may now expire
         self._expire()
         return index
 
@@ -100,13 +112,20 @@ class RollingSecretTable:
 
     def _expire(self) -> None:
         now = self.clock.now()
+        if now - self._oldest_created <= self._lifetime:
+            return
+        current = self.current_index
         dead = [
             index
             for index, secret in self._secrets.items()
-            if now - secret.created_at > self.lifetime and index != self.current_index
+            if now - secret.created_at > self._lifetime and index != current
         ]
         for index in dead:
             del self._secrets[index]
+        self._oldest_created = min(
+            (s.created_at for i, s in self._secrets.items() if i != current),
+            default=math.inf,
+        )
 
 
 class Signer:

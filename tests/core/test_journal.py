@@ -10,6 +10,8 @@ with it, every notification is exactly-once-applied or parked in the
 DLQ — checked by ``DurableStore.conservation_breaches``.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,16 +314,64 @@ def test_journal_replay_is_idempotent(ops):
 
     before = snapshot()
     length = len(journal)
+    counts = dict(journal.kind_counts)
     count_once = journal.replay(apply)
     assert snapshot() == before
     assert len(journal) == length  # replay must not re-journal
     count_twice = journal.replay(apply)
-    assert count_twice == count_once
+    assert count_twice == count_once == length
     assert snapshot() == before
     assert len(journal) == length
+    assert journal.kind_counts == counts
+
+
+def test_appended_record_is_immutable():
+    """A record is sealed at append: mutating the caller's payload
+    afterwards must not rewrite durable history."""
+    journal = ServiceJournal("T")
+    updates = [[1, "true"]]
+    journal.append("state", {"updates": updates})
+    updates.append([2, "false"])
+    assert [r.data for r in journal.read()] == [{"updates": [[1, "true"]]}]
+    replayed = []
+    journal.replay(lambda record: replayed.append(record.data["updates"]))
+    assert replayed == [[[1, "true"]]]
+
+    log = AuditLog(hot_window=4)
+    log.attach_journal(journal)
+    args = ["x"]
+    log.record(1.0, AuditKind.ROLE_ENTERED, "alice", "", ("Reader", args))
+    args.append("y")
+    assert log.entries(AuditKind.ROLE_ENTERED)[0].data == ("Reader", ["x"])
 
 
 # ----------------------------------------------------------- audit via journal
+
+
+def test_audit_history_adds_no_tracked_objects():
+    """Carried history must cost the cyclic collector nothing: once the
+    hot window is full, more audit entries add no GC-tracked objects."""
+    journal = ServiceJournal("T")
+    log = AuditLog(hot_window=16)
+    log.attach_journal(journal)
+
+    def record(count):
+        for i in range(count):
+            log.record(float(i), AuditKind.VALIDATION_OK, f"c{i}", "ok")
+
+    record(64)  # fill the hot window first: it is bounded, not history
+    gc.collect()
+    base = len(gc.get_objects())
+    n = 2000
+    record(n)
+    gc.collect()
+    at_n = len(gc.get_objects())
+    record(n)
+    gc.collect()
+    at_2n = len(gc.get_objects())
+    assert at_n - base <= 16
+    assert at_2n - base <= 16
+    assert len(log) == len(log.entries()) == 64 + 2 * n
 
 
 def test_audit_rings_hot_window_and_spills_to_journal():

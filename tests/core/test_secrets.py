@@ -1,6 +1,10 @@
 """Unit tests for signatures and the rolling secret table (sections 4.2, 5.5.1)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.secrets import RecordingSigner, RollingSecretTable, Signer
 from repro.errors import FraudError
@@ -11,6 +15,20 @@ def make_signer(**kwargs):
     clock = ManualClock()
     table = RollingSecretTable(clock=clock, seed=b"test", **kwargs)
     return clock, table, Signer(table)
+
+
+class ScanningSecretTable(RollingSecretTable):
+    """The reference expiry: rescan every secret on every lookup."""
+
+    def _expire(self) -> None:
+        now = self.clock.now()
+        dead = [
+            index
+            for index, secret in self._secrets.items()
+            if now - secret.created_at > self.lifetime and index != self.current_index
+        ]
+        for index in dead:
+            del self._secrets[index]
 
 
 class TestRollingSecretTable:
@@ -27,6 +45,23 @@ class TestRollingSecretTable:
         assert table.get(first) is not None
         clock.advance(101.0)
         assert table.get(first) is None
+
+    def test_secret_valid_at_exact_lifetime_refused_just_after(self):
+        clock, table, _ = make_signer(lifetime=100.0)
+        first = table.current_index
+        clock.advance(40.0)
+        table.roll()
+        assert table.get(first) is not None   # caches the expiry horizon
+        clock.set(100.0)                      # now - created_at == lifetime
+        assert table.get(first) is not None
+        clock.set(math.nextafter(100.0, math.inf))
+        assert table.get(first) is None
+        assert table.live_indices() == [table.current_index]
+
+    def test_lifetime_is_read_only(self):
+        _, table, _ = make_signer(lifetime=100.0)
+        with pytest.raises(AttributeError):
+            table.lifetime = 5.0
 
     def test_current_secret_never_expires(self):
         clock, table, _ = make_signer(lifetime=10.0)
@@ -53,6 +88,40 @@ class TestRollingSecretTable:
         t1 = RollingSecretTable(seed=b"x")
         t2 = RollingSecretTable(seed=b"x")
         assert t1.get(0) == t2.get(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("advance"),
+                st.one_of(
+                    st.sampled_from([0.0, 1e-9, 2.5, 5.0, 10.0]),
+                    st.floats(0.0, 25.0, allow_nan=False),
+                ),
+            ),
+            st.tuples(st.just("roll"), st.just(0.0)),
+            st.tuples(st.just("invalidate"), st.just(0.0)),
+        ),
+        max_size=40,
+    )
+)
+def test_cached_expiry_answers_like_the_full_scan(ops):
+    clock = ManualClock()
+    fast = RollingSecretTable(clock=clock, lifetime=10.0, seed=b"p")
+    slow = ScanningSecretTable(clock=clock, lifetime=10.0, seed=b"p")
+    for op, amount in ops:
+        if op == "advance":
+            clock.advance(amount)
+        elif op == "roll":
+            assert fast.roll() == slow.roll()
+        else:
+            fast.invalidate_all()
+            slow.invalidate_all()
+        for index in range(fast.current_index + 1):
+            assert fast.get(index) == slow.get(index)
+        assert fast.live_indices() == slow.live_indices()
 
 
 class TestSigner:
